@@ -14,33 +14,33 @@ experiments:
 		--run-experiments
 
 # Full perf harness: event-tier families (BENCH_event_tier.json) plus
-# the census consolidation family (BENCH_census.json) and the Backend
-# dispatch-tier family (BENCH_dispatch.json).  Wall numbers are
-# machine-dependent — see DESIGN.md §8 for the interleaved
-# before/after measurement protocol, §11 for the census engine and
-# §12 for the cohort task path ("repro bench --profile" prints
-# cProfile hot spots without touching the tracked artifacts).
+# the Backend dispatch-tier family (BENCH_dispatch.json).  Wall numbers
+# are machine-dependent — see DESIGN.md §8 for the interleaved
+# before/after measurement protocol and §12 for the cohort task path
+# ("repro bench --profile" prints cProfile hot spots without touching
+# the tracked artifacts).  The census consolidation guard lives in
+# bench-floor (DESIGN.md §11).
 bench:
 	$(PYTHON) -m repro bench
-	$(PYTHON) -m repro bench --census
 	$(PYTHON) -m repro bench --dispatch
 	$(PYTHON) -m repro bench --federation
 
 bench-quick:
 	$(PYTHON) -m repro bench --scales 1000 --kernel-scales 10000 \
 		--out /tmp/bench_quick.json
-	$(PYTHON) -m repro bench --census --census-scales 20000 \
-		--out /tmp/bench_census_quick.json
 	$(PYTHON) -m repro bench --dispatch --dispatch-scales 20000 \
 		--out /tmp/bench_dispatch_quick.json
 	$(PYTHON) -m repro bench --serve --serve-scales 16 \
 		--out /tmp/bench_serve_quick.json
 
 # Reduced-scale event-kernel floor guard (the 10^6 < 60s claim,
-# scaled): benchmarks/test_event_kernel_floor.py under --run-perf.
+# scaled): benchmarks/test_event_kernel_floor.py under --run-perf, plus
+# the census consolidation floor (columnar cohort >= 3x the per-payload
+# dict oracle at 10^5 members, with census equality).
 bench-floor:
 	REPRO_FLOOR_SCALE=20000 $(PYTHON) -m pytest \
 		benchmarks/test_event_kernel_floor.py -q --run-perf
+	$(PYTHON) -m pytest benchmarks/test_census_throughput.py -q --run-perf
 
 # Traced smoke run + human summary of the resulting trace artifacts
 # (see DESIGN.md §9 for the event taxonomy).

@@ -16,13 +16,7 @@ from repro.core.aggregation import (
     HeartbeatDigest,
 )
 from repro.core.backend import Backend, JobReport
-from repro.core.census import (
-    CensusStore,
-    ColumnarCensusStore,
-    DictCensusStore,
-    NodeInterner,
-    make_census_store,
-)
+from repro.core.census import ColumnarCensusStore, NodeInterner
 from repro.core.controller import Controller, ControlPlane, DirectControlPlane
 from repro.core.dve import CONTROL_PAYLOAD_BITS, DVE
 from repro.core.federation import (
@@ -85,10 +79,7 @@ __all__ = [
     "DeficitProportional",
     "Router",
     "NodeInterner",
-    "CensusStore",
     "ColumnarCensusStore",
-    "DictCensusStore",
-    "make_census_store",
     "DVE",
     "CONTROL_PAYLOAD_BITS",
     "PNA",

@@ -50,8 +50,8 @@ from repro.errors import (
 from repro.core.census import (
     STATE_BUSY,
     STATE_IDLE,
+    ColumnarCensusStore,
     RegistryView,
-    make_census_store,
 )
 from repro.core.dve import CONTROL_PAYLOAD_BITS
 from repro.core.instance import (
@@ -189,7 +189,6 @@ class Controller:
         probability_policy: Optional[ProbabilityPolicy] = None,
         maintenance_interval_s: float = 60.0,
         heartbeat_grace_factor: float = 3.0,
-        census_backend: Optional[str] = None,
         network: str = "",
     ) -> None:
         if maintenance_interval_s <= 0:
@@ -210,12 +209,11 @@ class Controller:
         self.network = network
 
         #: the census engine: registry + per-instance membership in one
-        #: store (columnar by default, dict-backed reference on demand),
-        #: sharing the router's node-id interning table so heartbeat
-        #: cohorts consolidate by index.  ``registry`` is the historical
-        #: ``pna_id -> (last_seen, state, instance_id)`` dict shape as a
-        #: live view.
-        self.census = make_census_store(router.interner, census_backend)
+        #: columnar store, sharing the router's node-id interning table
+        #: so heartbeat cohorts consolidate by index.  ``registry`` is
+        #: the historical ``pna_id -> (last_seen, state, instance_id)``
+        #: dict shape as a live view.
+        self.census = ColumnarCensusStore(router.interner)
         self.registry = RegistryView(self.census)
         self.instances: Dict[str, InstanceRecord] = {}
         self._pending_trims: Dict[str, int] = {}
@@ -557,8 +555,7 @@ class Controller:
         fall back to the per-payload path wholesale), the columnar
         regrouping is order-equivalent to the sequential fold.
         """
-        census = self.census
-        if not census.supports_columnar or len(payloads) < self._COHORT_MIN:
+        if len(payloads) < self._COHORT_MIN:
             self._receive_batch(payloads)
             return
         stamp = self._dup_stamp
@@ -611,6 +608,7 @@ class Controller:
             else:
                 group.append(idx)
         self._batch_bumps(len(payloads))
+        census = self.census
         now = self.sim.now
         if idle_idxs:
             arr = np.array(idle_idxs, dtype=np.int64)

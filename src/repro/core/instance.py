@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.errors import InstanceError
+from repro.core.census import ColumnarCensusStore, MembersView
 
 __all__ = ["InstanceSpec", "InstanceStatus", "InstanceRecord",
            "new_instance_id", "reset_instance_sequence"]
@@ -86,15 +87,13 @@ class InstanceStatus(enum.Enum):
 class InstanceRecord:
     """Controller-side mutable state of one OddCI instance.
 
-    Membership lives in a :class:`~repro.core.census.CensusStore`
+    Membership lives in a :class:`~repro.core.census.ColumnarCensusStore`
     column the record is *bound* to (:meth:`bind_census`): the
     Controller binds every record to its shared census so heartbeat
     cohorts can refresh whole membership groups columnar-ly.  A record
     built standalone (tests, ad-hoc bookkeeping) lazily binds a private
-    dict-backed store on first membership operation, so the historical
-    dict semantics — including insertion-ordered iteration — are
-    preserved without a census in sight.  ``members`` is a live
-    dict-shaped view either way.
+    store on first membership operation.  ``members`` is a live
+    dict-shaped view either way, iterating in node-index order.
     """
 
     def __init__(self, instance_id: str, spec: InstanceSpec,
@@ -119,8 +118,6 @@ class InstanceRecord:
         Idempotent for the same store; re-binding to a different store
         (controller restore builds a fresh census) starts from empty
         membership, which is exactly restore's contract."""
-        from repro.core.census import MembersView
-
         self._census = census
         self._handle = census.bind_instance(self.instance_id)
         self._members_view = MembersView(census, self._handle)
@@ -132,9 +129,7 @@ class InstanceRecord:
 
     def _ensure_census(self):
         if self._census is None:
-            from repro.core.census import DictCensusStore
-
-            self.bind_census(DictCensusStore())
+            self.bind_census(ColumnarCensusStore())
         return self._census
 
     @property

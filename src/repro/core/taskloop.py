@@ -29,8 +29,7 @@ per-PNA reference semantics —
   do between the reference path's per-member deliveries.
 
 The reference path stays selectable — ``REPRO_TASK_PATH=process`` or
-``PNA(task_path="process")`` — as the differential oracle, the same
-pattern as ``REPRO_CENSUS_BACKEND=dict``.
+``PNA(task_path="process")`` — as the differential oracle.
 """
 
 from __future__ import annotations

@@ -45,12 +45,10 @@ __all__ = [
     "SCENARIO",
     "DEFAULT_SCALES",
     "KERNEL_SCALES",
-    "CENSUS_SCALES",
     "DISPATCH_SCALES",
     "run_scenario",
     "run_kernel_scenario",
     "run_telemetry_overhead",
-    "run_census_scenario",
     "run_dispatch_scenario",
     "run_federation_scenario",
     "run_serve_scenario",
@@ -62,7 +60,6 @@ __all__ = [
 
 DEFAULT_SCALES = (1_000, 10_000, 100_000)
 KERNEL_SCALES = (10_000,)
-CENSUS_SCALES = (100_000,)
 DISPATCH_SCALES = (50_000,)
 FEDERATION_SCALES = (100_000,)
 SERVE_SCALES = (32,)
@@ -233,110 +230,6 @@ def run_telemetry_overhead(n_timers: int = 10_000, *,
         "plain_events_per_sec": round(plain_best, 1),
         "traced_events_per_sec": round(traced_best, 1),
         "ratio": round(traced_best / plain_best, 4) if plain_best else 0.0,
-    }
-
-
-def _census_controller(backend: str):
-    """A bare Controller (no PNA fleet) on the chosen census engine.
-
-    Heartbeat payloads are injected directly at the consolidation entry
-    points, so the measurement isolates the census data path — no link
-    math, no kernel traffic.  Reset replies no-op identically on both
-    engines (no registered PNA channels)."""
-    from repro.core.controller import Controller, DirectControlPlane
-    from repro.core.instance import reset_instance_sequence
-    from repro.core.network import Router
-    from repro.net.broadcast import BroadcastChannel
-    from repro.net.crypto import KeyRegistry
-    from repro.sim.core import Simulator
-
-    reset_instance_sequence()
-    sim = Simulator(seed=SCENARIO["seed"])
-    router = Router(sim)
-    plane = DirectControlPlane(
-        BroadcastChannel(sim, beta_bps=1e9, name="bench.bcast"))
-    controller = Controller(
-        sim, router, plane, KeyRegistry(),
-        maintenance_interval_s=SCENARIO["maintenance_interval_s"],
-        census_backend=backend)
-    return router, controller
-
-
-def run_census_scenario(n_members: int, *, rounds: int = 5,
-                        repeats: int = 3) -> Dict[str, float]:
-    """Heartbeat-consolidation throughput: columnar vs per-payload.
-
-    One cohort of ``n_members`` heartbeats (90% busy members of a live
-    instance, 10% idle — the steady-state shape of a healthy fleet) is
-    consolidated ``rounds`` times per engine: the dict-backed reference
-    through ``_receive_batch`` (the payload-by-payload baseline) and the
-    columnar store through ``_receive_cohort``.  Runs interleave and the
-    best of ``repeats`` is kept.  ``speedup`` is the tracked number; the
-    engines' final censuses are asserted equal before returning.
-    """
-    from repro.core.instance import InstanceSpec
-    from repro.core.messages import HeartbeatPayload, PNAState
-
-    spec = InstanceSpec(
-        target_size=max(1, (n_members * 9) // 10), image_name="bench-img",
-        image_bits=SCENARIO["image_bits"],
-        heartbeat_interval_s=SCENARIO["heartbeat_interval_s"])
-
-    def build(backend):
-        router, controller = _census_controller(backend)
-        iid = controller.create_instance(spec).instance_id
-        payloads, idxs = [], []
-        for i in range(n_members):
-            pna_id = f"pna-{i}"
-            if i % 10 == 0:
-                payload = HeartbeatPayload(pna_id=pna_id,
-                                           state=PNAState.IDLE,
-                                           instance_id=None)
-            else:
-                payload = HeartbeatPayload(pna_id=pna_id,
-                                           state=PNAState.BUSY,
-                                           instance_id=iid)
-            payloads.append(payload)
-            idxs.append(router.interner.intern(pna_id))
-        return controller, payloads, idxs
-
-    baseline, base_payloads, _ = build("dict")
-    columnar, col_payloads, col_idxs = build("columnar")
-
-    base_best = col_best = float("inf")
-    with _gc_paused():
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            for _r in range(rounds):
-                baseline._receive_batch(base_payloads)
-            base_best = min(base_best, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            for _r in range(rounds):
-                columnar._receive_cohort(col_payloads, col_idxs)
-            col_best = min(col_best, time.perf_counter() - t0)
-
-    # Equivalence: both engines must have consolidated the same census.
-    iid = next(iter(baseline.instances))
-    assert len(baseline.registry) == len(columnar.registry) == n_members
-    assert baseline.instances[iid].size == columnar.instances[iid].size
-    assert baseline.idle_estimate() == columnar.idle_estimate()
-    assert sorted(baseline.registry.items()) == \
-        sorted(columnar.registry.items())
-
-    consolidations = n_members * rounds
-    base_cps = consolidations / base_best if base_best > 0 else 0.0
-    col_cps = consolidations / col_best if col_best > 0 else 0.0
-    return {
-        "n_members": n_members,
-        "rounds": rounds,
-        "repeats": repeats,
-        "baseline_wall_s": round(base_best, 4),
-        "columnar_wall_s": round(col_best, 4),
-        "baseline_consolidations_per_sec": round(base_cps, 1),
-        "columnar_consolidations_per_sec": round(col_cps, 1),
-        "speedup": round(col_cps / base_cps, 3) if base_cps else 0.0,
-        "instance_size": baseline.instances[iid].size,
-        "idle_estimate": baseline.idle_estimate(),
     }
 
 
@@ -705,13 +598,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--telemetry-overhead", action="store_true",
                         help="measure disabled-telemetry kernel overhead "
                              "instead of the scenario families")
-    parser.add_argument("--census", action="store_true",
-                        help="measure census consolidation throughput "
-                             "(columnar vs per-payload) instead of the "
-                             "scenario families")
-    parser.add_argument("--census-scales", type=int, nargs="+",
-                        default=list(CENSUS_SCALES),
-                        help="census-family member counts")
     parser.add_argument("--dispatch", action="store_true",
                         help="measure Backend dispatch-tier throughput "
                              "(batched cohort vs per-request) instead of "
@@ -821,21 +707,6 @@ def main(argv: Optional[list] = None) -> int:
             write_report(out, {"dispatch": dispatch}, args.label,
                          merge_into=out, benchmark="dispatch")
             print(f"[written to {out}]")
-        return 0
-    if args.census:
-        out = args.out if args.out != "BENCH_event_tier.json" \
-            else "BENCH_census.json"
-        census: Dict[str, dict] = {}
-        for n in args.census_scales:
-            metrics = run_census_scenario(int(n))
-            census[str(n)] = metrics
-            print(f"  census n={n:>7}  "
-                  f"baseline {metrics['baseline_consolidations_per_sec']:>12.0f}/s  "
-                  f"columnar {metrics['columnar_consolidations_per_sec']:>12.0f}/s  "
-                  f"speedup {metrics['speedup']:.2f}x")
-        write_report(out, {"census": census}, args.label,
-                     merge_into=out, benchmark="census")
-        print(f"[written to {out}]")
         return 0
     if args.telemetry_overhead:
         metrics = run_telemetry_overhead(int(args.kernel_scales[0]))

@@ -1,14 +1,15 @@
-"""Differential suite: columnar census engine ≡ dict-backed reference.
+"""Differential suite: columnar census engine ≡ dict-backed oracle.
 
-The behavioural contract of the columnar refactor is *identical
+The behavioural contract of the columnar engine is *identical
 observable outcomes*: any sequence of heartbeats (idle, busy, stale,
 trim-pending), maintenance expiries and crash/restore cycles must leave
 a :class:`~repro.core.census.ColumnarCensusStore`-backed Controller in
-exactly the state the :class:`~repro.core.census.DictCensusStore`
-reference produces.  These tests drive randomized sequences through
-both engines — at the raw store level, at the Controller level (the
-columnar cohort path vs the per-payload reference), and through the
-dict-shaped views — and require equality throughout.
+exactly the state the dict-backed oracle
+(:class:`~tests.core.census_oracle.DictCensusOracle`) produces.  These
+tests drive randomized sequences through both engines — at the raw
+store level, at the Controller level (the columnar cohort path vs the
+oracle's per-payload path) and through the dict-shaped views — and
+require equality throughout.
 """
 
 import random
@@ -16,24 +17,29 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.controller as controller_module
 from repro.core.census import (
     STATE_BUSY,
     STATE_IDLE,
     ColumnarCensusStore,
-    DictCensusStore,
     MembersView,
     NodeInterner,
     RegistryView,
-    _selfcheck,
-    make_census_store,
 )
 from repro.core.controller import Controller, DirectControlPlane
-from repro.core.instance import InstanceSpec, reset_instance_sequence
+from repro.core.instance import (
+    InstanceRecord,
+    InstanceSpec,
+    reset_instance_sequence,
+)
 from repro.core.messages import HeartbeatPayload, PNAState
 from repro.core.network import Router
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
+from tests.core.census_oracle import DictCensusOracle
+
+STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusOracle}
 
 # ---------------------------------------------------------------- interner
 
@@ -53,12 +59,104 @@ def test_interner_assigns_dense_stable_indices():
 # ----------------------------------------------------- raw store differential
 
 
-@pytest.mark.parametrize("seed", [1, 7, 23, 99])
-def test_store_differential_fuzz(seed):
-    """The module's own seeded fuzz: random touches, cohort groups,
-    marks/drops, expiries, wipes and crashes against both engines in
-    lockstep, with per-step columnar validation."""
-    assert _selfcheck(ops=1500, seed=seed, verbose=False) == 0
+FUZZ_CASES = (
+    [pytest.param(seed, 1500, id=str(seed)) for seed in (1, 7, 23, 99)]
+    + [pytest.param(seed, 4000, id=f"{seed}-4000ops") for seed in (1, 2)])
+
+
+@pytest.mark.parametrize("seed,ops", FUZZ_CASES)
+def test_store_differential_fuzz(seed, ops):
+    """Seeded lockstep fuzz: random touches, cohort groups, member
+    marks/drops, expiries, wipes, crashes and instance bind/release
+    against both engines; reductions are compared at random steps, and
+    every 97 steps the columnar store validates and both snapshots
+    match."""
+    rng = random.Random(seed)
+    interner_a, interner_b = NodeInterner(), NodeInterner()
+    columnar = ColumnarCensusStore(interner_a, initial_capacity=2)
+    reference = DictCensusOracle(interner_b)
+    nodes = [f"pna-{i}" for i in range(256)]
+    instances = [f"inst-{i}" for i in range(6)]
+    bound = []
+
+    def idx_pair(node):
+        return interner_a.intern(node), interner_b.intern(node)
+
+    def handles(inst):  # bind_instance is idempotent for bound ones
+        return columnar.bind_instance(inst), reference.bind_instance(inst)
+
+    for step in range(ops):
+        op = rng.randrange(10)
+        now = float(step)
+        if op <= 2:  # single heartbeat touch
+            node = rng.choice(nodes)
+            state = PNAState.IDLE if rng.random() < 0.4 else PNAState.BUSY
+            inst = None if state is PNAState.IDLE else rng.choice(instances)
+            ia, ib = idx_pair(node)
+            columnar.touch(ia, state, inst, now)
+            reference.touch(ib, state, inst, now)
+            if state is PNAState.IDLE:
+                columnar.drop_from_all(ia)
+                reference.drop_from_all(ib)
+        elif op == 3:  # cohort group
+            group = rng.sample(nodes, rng.randrange(1, 32))
+            code = STATE_IDLE if rng.random() < 0.3 else STATE_BUSY
+            inst = None if code == STATE_IDLE else rng.choice(instances)
+            pairs = [idx_pair(n) for n in group]
+            arr_a = np.array([a for a, _b in pairs], dtype=np.int64)
+            arr_b = [b for _a, b in pairs]
+            columnar.touch_group(arr_a, code, inst, now)
+            reference.touch_group(arr_b, code, inst, now)
+            if code == STATE_IDLE:
+                columnar.drop_many_from_all(arr_a)
+                reference.drop_many_from_all(arr_b)
+            elif inst in bound:
+                ha, hb = handles(inst)
+                columnar.mark_members(ha, arr_a, now)
+                reference.mark_members(hb, arr_b, now)
+        elif op == 4:  # bind / release
+            inst = rng.choice(instances)
+            if inst in bound and rng.random() < 0.3:
+                columnar.release_instance(inst)
+                reference.release_instance(inst)
+                bound.remove(inst)
+            else:
+                handles(inst)
+                if inst not in bound:
+                    bound.append(inst)
+        elif op == 5 and bound:  # single mark/drop
+            ha, hb = handles(rng.choice(bound))
+            ia, ib = idx_pair(rng.choice(nodes))
+            if rng.random() < 0.7:
+                columnar.mark_member(ha, ia, now)
+                reference.mark_member(hb, ib, now)
+            else:
+                assert columnar.drop_member(ha, ia) == \
+                    reference.drop_member(hb, ib)
+        elif op == 6 and bound:  # expiry sweep
+            ha, hb = handles(rng.choice(bound))
+            cutoff = now - rng.randrange(0, ops // 2)
+            assert columnar.expire_members(ha, cutoff) == \
+                reference.expire_members(hb, cutoff)
+        elif op == 7 and bound and rng.random() < 0.2:  # membership wipe
+            ha, hb = handles(rng.choice(bound))
+            columnar.clear_members(ha)
+            reference.clear_members(hb)
+        elif op == 8 and rng.random() < 0.1:  # crash
+            columnar.clear()
+            reference.clear()
+        else:  # census reductions must agree
+            horizon = now - rng.randrange(0, ops)
+            assert columnar.idle_estimate(horizon) == \
+                reference.idle_estimate(horizon)
+            assert columnar.alive_estimate(horizon) == \
+                reference.alive_estimate(horizon)
+            assert columnar.registry_size() == reference.registry_size()
+            assert columnar.total_members() == reference.total_members()
+        if step % 97 == 0 or step == ops - 1:
+            columnar.validate()
+            assert columnar.snapshot() == reference.snapshot(), \
+                f"stores diverged at step {step}"
 
 
 def test_capacity_growth_preserves_state():
@@ -75,23 +173,12 @@ def test_capacity_growth_preserves_state():
     assert store.registry_get("n42") == (42.0, PNAState.BUSY, "inst")
 
 
-def test_make_census_store_backends(monkeypatch):
-    assert isinstance(make_census_store(None, "columnar"),
-                      ColumnarCensusStore)
-    assert isinstance(make_census_store(None, "dict"), DictCensusStore)
-    monkeypatch.setenv("REPRO_CENSUS_BACKEND", "dict")
-    assert isinstance(make_census_store(None), DictCensusStore)
-    from repro.errors import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        make_census_store(None, "btree")
-
-
 # ------------------------------------------------------------------- views
 
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
 def test_registry_view_dict_compat(backend):
-    store = make_census_store(None, backend)
+    store = STORES[backend]()
     view = RegistryView(store)
     assert view == {} and len(view) == 0 and not view
     view["p1"] = (5.0, PNAState.IDLE, None)
@@ -113,7 +200,7 @@ def test_registry_view_dict_compat(backend):
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
 def test_members_view_dict_compat(backend):
-    store = make_census_store(None, backend)
+    store = STORES[backend]()
     handle = store.bind_instance("inst")
     view = MembersView(store, handle)
     assert view == {} and not view
@@ -130,6 +217,27 @@ def test_members_view_dict_compat(backend):
     assert view == {} and store.member_count(handle) == 0
 
 
+def test_standalone_record_binds_columnar_store():
+    """A record built without a Controller binds a private columnar
+    store on first use.  Dropping and re-adding a member keeps the
+    dict-shaped view exact; iteration is node-index order (the order
+    Controller-bound records have), not re-insertion order."""
+    spec = InstanceSpec(target_size=3, image_name="img", image_bits=1e6)
+    record = InstanceRecord("i-solo", spec, 0.0)
+    for t, node in enumerate(["b", "a", "c"]):
+        record.mark_member(node, float(t))
+    assert isinstance(record.census, ColumnarCensusStore)
+    record.drop_member("b")
+    assert len(record.members) == 2 and "b" not in record.members
+    assert record.members == {"a": 1.0, "c": 2.0}
+    record.mark_member("b", 5.0)
+    assert len(record.members) == record.size == 3
+    assert "b" in record.members
+    assert record.members == {"a": 1.0, "b": 5.0, "c": 2.0}
+    record.census.validate()
+    assert list(record.members) == ["b", "a", "c"]
+
+
 # ------------------------------------------- controller-level differential
 
 HB_INTERVAL = 10.0
@@ -138,15 +246,19 @@ HB_INTERVAL = 10.0
 def _build_controller(backend):
     """A Controller with no PNAs: heartbeats are injected directly, so
     reset replies no-op (no registered channels) identically for both
-    engines."""
+    engines.  ``"dict"`` swaps the oracle in for the store class the
+    controller module constructs."""
     reset_instance_sequence()
     sim = Simulator(seed=0)
     router = Router(sim)
     plane = DirectControlPlane(
         BroadcastChannel(sim, beta_bps=1e9, name="bcast"))
-    controller = Controller(sim, router, plane, KeyRegistry(),
-                            maintenance_interval_s=50.0,
-                            census_backend=backend)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(controller_module, "ColumnarCensusStore",
+                   STORES[backend])
+        controller = Controller(sim, router, plane, KeyRegistry(),
+                                maintenance_interval_s=50.0)
+    assert isinstance(controller.census, STORES[backend])
     return sim, router, controller
 
 
@@ -253,7 +365,7 @@ def _run_script(backend, script, *, columnar_delivery):
 @pytest.mark.parametrize("seed", [3, 11, 47])
 def test_controller_differential_columnar_vs_dict(seed):
     """The tentpole contract: the columnar cohort path and the
-    dict-backed per-payload reference produce identical censuses across
+    dict oracle's per-payload path produce identical censuses across
     randomized heartbeat / trim / stale / expiry / crash-restore
     sequences."""
     script = _random_script(random.Random(seed))
@@ -319,7 +431,7 @@ def test_columnar_store_validate_after_controller_workload():
     script = _random_script(random.Random(13))
     sim_state = _run_script("columnar", script, columnar_delivery=True)
     assert sim_state["counters"].get("heartbeats", 0) >= 0
-    # validate() runs inside _selfcheck too; here assert on a live store:
+    # validate() runs inside the store fuzz too; here on a live store:
     _, router, controller = _build_controller("columnar")
     spec = InstanceSpec(target_size=3, image_name="img", image_bits=1e6)
     iid = controller.create_instance(spec).instance_id
