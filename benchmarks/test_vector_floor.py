@@ -5,9 +5,10 @@ The rebuilt vector tier's whole claim is constant-per-node cost at
 storm) against a persistent population must clear
 :data:`MIN_NODES_PER_SEC` recruited-nodes-per-second of run wall time.
 Tracked points (``BENCH_vector.json`` at the repo root, refreshed by
-``scripts/refresh_bench_vector.py``): ~1.4M nodes/s at 10^5, ~1.3M at
-10^6, ~0.5M at 10^7 (and ~175k at the 10^8 smoke, below this floor —
-the guard is calibrated for the 10^5-10^7 sweep range).
+``scripts/refresh_bench_vector.py``): ~3.1M nodes/s at 10^5, ~3.4M at
+10^6, ~2.4M at 10^7 (and ~175k at the 10^8 smoke, measured before the
+grouped execution solve and below this floor — the guard is calibrated
+for the 10^5-10^7 sweep range).
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -23,10 +24,11 @@ import pytest
 from repro.perfbench import run_vector_scenario
 
 FULL_SCALE = 1_000_000
-#: Measured ~1.3M nodes/s at the tracked 10^6 point; generous margin
-#: for slower hosts, still tight enough to catch an O(n log n) or
-#: per-node-Python regression (those land 10-100x below).
-MIN_NODES_PER_SEC = 250_000
+#: Measured ~3.1M nodes/s at the tracked 10^5 point and ~3.4M at 10^6;
+#: a 3x margin for slower hosts, still tight enough to catch a return
+#: to per-node bisection (~1.3M) or a per-node-Python regression (those
+#: land 10-100x below).
+MIN_NODES_PER_SEC = 1_000_000
 
 
 def _assert_semantics(metrics):

@@ -56,7 +56,7 @@ def main() -> int:
     for r in range(opts.rounds):
         for n in opts.scales:
             if n >= 10_000_000 and r > 0:
-                continue  # the 10^7 point is ~40s; one round is enough
+                continue  # the 10^7 point is the slowest; one round
             m = run_point(n)
             old = points.get(str(n))
             if old is None or m["wall_s"] < old["wall_s"]:

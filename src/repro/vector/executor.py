@@ -7,16 +7,29 @@ pull-scheduling outcome with array math:
 
 * :func:`makespan_waterfill` — homogeneous tasks: binary-search the
   finish time T such that the fleet's aggregate task capacity by T
-  reaches ``n``; exact greedy list-scheduling result in O(N · log)
-  vectorised passes.
+  reaches ``n``; exact greedy list-scheduling result.
+* :func:`makespan_under_outages` — the same bisection with per-node
+  task durations and outage windows.
 * :func:`makespan_heap` — general case (heterogeneous tasks and/or
   nodes): classic event-free greedy list scheduling with a heap,
   O(n log N).
 
-Both include the per-task direct-channel I/O time, matching the event
-tier's DVE loop (request → input transfer → compute → result transfer).
-Tests cross-validate the two against each other and against the event
-tier on overlapping sizes.
+The bisections never evaluate capacity per node.  Nodes are first
+compressed into groups with identical inputs — same ready time, same
+task duration, same membership in every masked outage window — and
+``capacity(t) = sum_g count_g * floor(active_g(t) / d_g)`` is evaluated
+on one representative per group, with the elementwise arithmetic every
+member would run.  A wait-for-start carousel read ends where the
+image's window ends in some cycle, and devices come from a small mix,
+so G is tiny at any N (G <= distinct ready times x device factors x
+mask patterns).  The solve costs one ``np.unique`` per key column plus
+a few O(N) passes, and the answer is bit-identical to a per-node
+bisection (``tests/vector/solve_oracle.py``).
+
+All solvers include the per-task direct-channel I/O time, matching the
+event tier's DVE loop (request → input transfer → compute → result
+transfer).  Tests cross-validate them against each other and against
+the event tier on overlapping sizes.
 """
 
 from __future__ import annotations
@@ -67,6 +80,40 @@ def per_task_wall_seconds(
     return io_bits / delta_bps + ref_seconds * device_factor
 
 
+def _dense_codes(key: np.ndarray) -> np.ndarray:
+    """Rank of each entry of ``key`` among its distinct values."""
+    return np.searchsorted(np.unique(key), key)
+
+
+def _node_groups(ready: np.ndarray, d_i: Optional[np.ndarray],
+                 masks: Sequence[np.ndarray]):
+    """Compress nodes into groups of identical solve inputs.
+
+    The key is (ready time, per-node duration when ``d_i`` is given,
+    membership of each mask).  After each column is folded in, the
+    running key is re-compacted to dense ranks, so it stays below N and
+    cannot overflow int64 whatever the number of masks; the folds are
+    in place, so the transient memory is about two N-length arrays.
+    Returns one representative row per group and the group sizes (as
+    floats, for an exact integer-valued dot product below 2**53).
+    """
+    code = _dense_codes(ready)
+    if d_i is not None:
+        d_code = _dense_codes(d_i)
+        code *= int(d_code.max()) + 1
+        code += d_code
+        del d_code
+        code = _dense_codes(code)
+    for mask in masks:
+        code *= 2
+        code += mask
+        code = _dense_codes(code)
+    counts = np.bincount(code)
+    first = np.empty(counts.size, dtype=np.intp)
+    first[code] = np.arange(code.size)
+    return first, counts.astype(float)
+
+
 def makespan_waterfill(
     ready_times: np.ndarray,
     n_tasks: int,
@@ -78,7 +125,9 @@ def makespan_waterfill(
     to back, each taking ``task_wall_seconds``.  Greedy pull (always the
     earliest-free node takes the next task) finishes the bag at the
     smallest T with ``sum_i floor((T - ready_i)^+ / d) >= n``; we then
-    snap T to an exact task-completion instant.
+    snap T to an exact task-completion instant.  The bisection runs on
+    the distinct ready times (weighted by multiplicity); the snap is
+    one pass over the nodes.
     """
     ready = np.asarray(ready_times, dtype=float)
     if ready.ndim != 1 or ready.size == 0:
@@ -89,9 +138,11 @@ def makespan_waterfill(
         raise AnalysisError("task_wall_seconds must be > 0")
 
     d = float(task_wall_seconds)
+    first, counts = _node_groups(ready, None, ())
+    ready_g = ready[first]
 
     def capacity(t: float) -> int:
-        return int(np.floor(np.maximum(t - ready, 0.0) / d).sum())
+        return int(np.floor(np.maximum(t - ready_g, 0.0) / d) @ counts)
 
     eps = min(1e-9, d * 1e-6)
     lo = float(ready.min()) + d
@@ -152,10 +203,12 @@ def makespan_under_outages(
 
     Node *i*'s active time by T is ``(T - ready_i)^+`` minus the summed
     overlap of its outage windows with ``[ready_i, T)``; capacity is
-    ``sum_i floor(active_i / d_i)`` and the finish time is found by
-    binary search, snapped to within one task duration of the exact
-    greedy completion (adequate at vector scale, and exact — via
-    :func:`makespan_waterfill` — in the homogeneous fault-free case).
+    ``sum_i floor(active_i / d_i)``, evaluated once per group of nodes
+    with identical (ready, duration, window membership), and the finish
+    time is found by binary search, snapped to within one task duration
+    of the exact greedy completion (adequate at vector scale, and exact
+    — via :func:`makespan_waterfill` — in the homogeneous fault-free
+    case).
     Overlapping windows hitting the same node sum their downtime, a
     conservative (never optimistic) capacity estimate.
     """
@@ -195,19 +248,16 @@ def makespan_under_outages(
                 continue
         windows.append((float(start), float(end), mask))
 
-    def active_time(t: float) -> np.ndarray:
-        active = np.maximum(t - ready, 0.0)
-        for start, end, mask in windows:
-            overlap = np.minimum(t, end) - np.maximum(ready, start)
-            np.maximum(overlap, 0.0, out=overlap)
-            if mask is not None:
-                overlap *= mask
-            active -= overlap
-        np.maximum(active, 0.0, out=active)
-        return active
+    first, counts = _node_groups(
+        ready, None if scalar_d else d_i,
+        [mask for _s, _e, mask in windows if mask is not None])
+    ready_g, d_g = ready[first], d_i[first]
+    windows_g = [(start, end, None if mask is None else mask[first])
+                 for start, end, mask in windows]
 
     def capacity(t: float) -> int:
-        return int(np.floor(active_time(t) / d_i).sum())
+        return int(np.floor(_active_time(t, ready_g, windows_g) / d_g)
+                   @ counts)
 
     d_max = float(d_i.max())
     # One node doing the whole bag plus sitting out every (finite)
@@ -232,13 +282,27 @@ def makespan_under_outages(
             hi = mid
         else:
             lo = mid
-    k = np.floor(active_time(hi) / d_i + 1e-9).astype(np.int64)
+    k = np.floor(_active_time(hi, ready, windows) / d_i
+                 + 1e-9).astype(np.int64)
     return ExecutionOutcome(
         finish_time=hi,
         n_tasks=int(n_tasks),
         n_nodes=int(ready.size),
         tasks_per_node_max=int(k.max()) if k.size else 0,
     )
+
+
+def _active_time(t: float, ready: np.ndarray, windows) -> np.ndarray:
+    """Up time by ``t`` of each row of ``ready`` (masks aligned with it)."""
+    active = np.maximum(t - ready, 0.0)
+    for start, end, mask in windows:
+        overlap = np.minimum(t, end) - np.maximum(ready, start)
+        np.maximum(overlap, 0.0, out=overlap)
+        if mask is not None:
+            overlap *= mask
+        active -= overlap
+    np.maximum(active, 0.0, out=active)
+    return active
 
 
 def makespan_heap(

@@ -342,8 +342,13 @@ class VectorOddCISystem:
             for ws, we, mask, _rv in outages:
                 if ws <= te < we:
                     up &= ~mask
-            census.observe(recruited[up], STATE_BUSY, instance, te)
-            census.heartbeat(recruited[up], te)
+            live = recruited[up]
+            # Only transitions are written: rows already busy need just
+            # the heartbeat; rows wiped by a clear() (including storm
+            # victims that come back after it) rejoin as busy.
+            census.observe(live[census.state[live] != STATE_BUSY],
+                           STATE_BUSY, instance, te)
+            census.heartbeat(live, te)
             gauges = census.consolidate(te)
             if t is not None:
                 t.emit(te, "census_epoch", **gauges)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.census import STATE_BUSY
 from repro.errors import AnalysisError, ConfigurationError
 from repro.faults import FaultEvent, FaultPlan, active_plan
 from repro.net.message import MEGABYTE
@@ -200,3 +201,79 @@ def test_fault_counters_track_windows():
         system.run_job(make_job(), target_size=1_000)
     assert tracer.metrics.counter("fault.injected").value == 1
     assert tracer.metrics.counter("fault.restored").value == 1
+
+
+class _ReobserveEverySystem(VectorOddCISystem):
+    """Reference census loop: re-observe every up row each epoch."""
+
+    def _run_census_epochs(self, recruited, outages, census_outages,
+                           t_start, finish, *, instance):
+        census = self.census
+        census.observe(recruited, STATE_BUSY, instance, t_start)
+        span = finish - t_start
+        epochs = min(self.census_epochs,
+                     max(1, int(span / self.heartbeat_interval_s) or 1))
+        times = np.linspace(t_start, finish, epochs + 1)[1:]
+        t = self._trace
+        gauges = census.consolidate(t_start)
+        for te in times:
+            te = float(te)
+            if any(w.start <= te < w.end for w in census_outages):
+                census.clear()
+                gauges = census.consolidate(te)
+                if t is not None:
+                    t.emit(te, "census_outage", **gauges)
+                continue
+            up = np.ones(recruited.size, dtype=bool)
+            for ws, we, mask, _rv in outages:
+                if ws <= te < we:
+                    up &= ~mask
+            census.observe(recruited[up], STATE_BUSY, instance, te)
+            census.heartbeat(recruited[up], te)
+            gauges = census.consolidate(te)
+            if t is not None:
+                t.emit(te, "census_epoch", **gauges)
+        return gauges
+
+
+def _census_run(cls, plan):
+    with telemetry.active(telemetry.Tracer("vector")) as tracer:
+        system = cls(2_000, seed=3, plan=plan)
+        reports = system.run_jobs([(make_job(), 1_000)] * 2)
+    return system, reports, tracer
+
+
+def test_census_epochs_write_only_transitions_across_crash_in_storm():
+    """A churn storm straddles a controller crash, so storm victims come
+    back only after the census was cleared: the transition-only epoch
+    loop must leave the same census as re-observing every up row."""
+    span = make_system(seed=3).run_job(make_job(), 1_000).makespan_s
+    plan = FaultPlan((
+        FaultEvent("churn_storm", 0.2 * span, duration_s=0.5 * span,
+                   magnitude=0.4),
+        FaultEvent("controller_crash", 0.35 * span, duration_s=0.1 * span),
+    ), name="crash-in-storm")
+    system, reports, tracer = _census_run(VectorOddCISystem, plan)
+    ref_system, ref_reports, ref_tracer = _census_run(
+        _ReobserveEverySystem, plan)
+
+    system.census.validate()
+    events = [(t, name, fields) for t, _c, name, fields in tracer.events()]
+    names = [name for _t, name, _f in events]
+    crash = names.index("census_outage")
+    assert "census_epoch" in names[crash:]  # the census heals after it
+    assert reports[0].census["registry_size"] == reports[0].recruited
+
+    assert [r.census for r in reports] == [r.census for r in ref_reports]
+    assert events == [(t, name, fields)
+                      for t, _c, name, fields in ref_tracer.events()]
+    census_metrics = {
+        kind: {k: v for k, v in series.items() if k.startswith("census.")}
+        for kind, series in tracer.metrics.snapshot().items()}
+    ref_metrics = {
+        kind: {k: v for k, v in series.items() if k.startswith("census.")}
+        for kind, series in ref_tracer.metrics.snapshot().items()}
+    assert census_metrics["counters"] and census_metrics == ref_metrics
+    for column in ("state", "seen", "instance"):
+        assert (getattr(system.census, column).tobytes()
+                == getattr(ref_system.census, column).tobytes()), column
